@@ -18,11 +18,12 @@
 # tier wire protocol) can be run via its CTest label: `ctest -L serve`.
 # The TSan preset additionally re-runs the cross-stage determinism matrix
 # (now threads x overlap x depth x tail-lanes), the trace-on/off identity
-# matrix (recorder rings hammered from pool + drainer threads), the obs
-# unit suite, the fused elementwise-kernel suite (tiled reductions racing
-# on the shared partial buffer is exactly where a combine-order bug would
-# hide), the serve shard matrix (shards x policies x threads x
-# pipeline_depth), the remote-tier loopback matrix (same workload rehosted
+# matrix (recorder rings hammered from pool + drainer threads), the
+# shared-encoder key test (pool workers borrowing per-thread encoder
+# arenas), the obs unit suite, the fused elementwise-kernel suite (tiled
+# reductions racing on the shared partial buffer is exactly where a
+# combine-order bug would hide), the serve shard matrix (shards x
+# policies x threads x pipeline_depth), the remote-tier loopback matrix (same workload rehosted
 # on the wire protocol), the transport fault-injection suite
 # (reply-reader threads + the in-flight request table are exactly where a
 # completion race would hide) and the reconnect/degradation suites
@@ -32,9 +33,14 @@
 # restarted from a snapshot, gated on "surviving jobs bit-identical,
 # service exits 0". Socket smokes skip gracefully where sockets are
 # unavailable.
+# The ASan preset (AddressSanitizer + UBSan) builds and runs only the fast
+# suites — the encoder's pointer-offset conv kernels, the per-thread scratch
+# arenas, the fused elementwise tiles, the memo engine, the obs rings and the
+# solver — where an out-of-bounds read or an overflowing index would hide.
 #   ./scripts/check.sh          release build + ctest + smokes
 #   ./scripts/check.sh tsan     ThreadSanitizer build + ctest + matrix +
 #                               smokes (slower)
+#   ./scripts/check.sh asan     ASan+UBSan build + the fast suites
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,7 +68,7 @@ if [[ "$preset" == "tsan" ]]; then
   ctest --preset tsan -j "$(nproc)"
   ./build-tsan/obs_test
   ./build-tsan/concurrency_test \
-    --gtest_filter='Concurrency.PipelinedCrossStageDeterminismMatrix:Concurrency.StageExecutorDeterministic*:Concurrency.TraceOnOffBitIdentityMatrix'
+    --gtest_filter='Concurrency.PipelinedCrossStageDeterminismMatrix:Concurrency.StageExecutorDeterministic*:Concurrency.TraceOnOffBitIdentityMatrix:Concurrency.SharedEncoderParallelKeysMatchSerial'
   ./build-tsan/ew_test --gtest_filter='Ew.*'
   ./build-tsan/serve_test \
     --gtest_filter='ReconService.OutputsIdenticalAcrossPipelineDepths:ReconService.SharedTierShardMatrix:ReconService.LoopbackTransportMatrix:ReconService.TraceOnOffBitIdentity:ReconService.PreemptionDeterminismMatrix:ReconService.PreemptedJobResumesOnDifferentSlot:ReconService.AdmissionDecisionInvarianceMatrix'
@@ -82,6 +88,10 @@ if [[ "$preset" == "tsan" ]]; then
   ./build-tsan/bench_serve_traffic --jobs 8 --n small --transport socket
   ./build-tsan/bench_serve_traffic --jobs 8 --n small --transport socket \
     --chaos kill-tier-at-job=3
+elif [[ "$preset" == "asan" ]]; then
+  cmake --preset asan
+  cmake --build --preset asan -j "$(nproc)"
+  ctest --preset asan -j "$(nproc)"
 else
   cmake -B build -S .
   cmake --build build -j "$(nproc)"

@@ -5,6 +5,8 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/log.hpp"
+#include "common/timer.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace mlr::admm {
@@ -357,7 +359,14 @@ bool Solver::solve_resumable(const Array3D<cfloat>& d, SolverCheckpoint& ck,
     const EwStats iter_ew0 = knl_.stats();
     if (needs_warmup && iter == cfg_.encoder_warmup_iters) {
       exec_.set_collect_samples(false);
-      (void)exec_.train_encoder_from_collected(cfg_.encoder_train_steps);
+      {
+        static obs::Histogram& train_s = obs::metrics().histogram(
+            "encoder.train_s", obs::latency_edges_s());
+        MLR_TRACE_SPAN("encoder.train", "solver");
+        const WallTimer wt;
+        (void)exec_.train_encoder_from_collected(cfg_.encoder_train_steps);
+        train_s.observe(wt.seconds());
+      }
       exec_.set_bypass(false);
       // Training runs on the GPU (paper §4.3.1); charge its kernel time.
       t = ml_.device_kernel(

@@ -44,67 +44,84 @@ CnnEncoder::CnnEncoder(EncoderConfig cfg, u64 seed)
   MLR_CHECK_MSG(cfg.input_hw % 8 == 0, "input_hw must be divisible by 8");
 }
 
-FeatureMap CnnEncoder::preprocess(const ChunkImage& chunk) const {
+void CnnEncoder::preprocess(const ChunkImage& chunk, float* out,
+                            float* cnt) const {
   MLR_CHECK(i64(chunk.data.size()) == chunk.rows * chunk.cols);
-  const i64 hw = cfg_.input_hw;
-  FeatureMap fm(2, hw, hw);
+  const i64 hw = cfg_.input_hw, plane = hw * hw;
+  float* re = out;
+  float* im = out + plane;
+  std::fill(out, out + 2 * plane, 0.0f);
+  std::fill(cnt, cnt + plane, 0.0f);
   // COMPLEX64 → (real, imag) channels with block-average resampling: every
   // source pixel lands in exactly one target cell, preserving total signal.
-  std::vector<float> cnt(size_t(hw * hw), 0.0f);
   for (i64 y = 0; y < chunk.rows; ++y) {
     const i64 ty = std::min(hw - 1, y * hw / chunk.rows);
     for (i64 x = 0; x < chunk.cols; ++x) {
-      const i64 tx = std::min(hw - 1, x * hw / chunk.cols);
+      const i64 cell = ty * hw + std::min(hw - 1, x * hw / chunk.cols);
       const cfloat v = chunk.data[size_t(y * chunk.cols + x)];
-      fm.at(0, ty, tx) += v.real();
-      fm.at(1, ty, tx) += v.imag();
-      cnt[size_t(ty * hw + tx)] += 1.0f;
+      re[cell] += v.real();
+      im[cell] += v.imag();
+      cnt[cell] += 1.0f;
     }
   }
-  for (i64 y = 0; y < hw; ++y)
-    for (i64 x = 0; x < hw; ++x) {
-      const float c = std::max(1.0f, cnt[size_t(y * hw + x)]);
-      fm.at(0, y, x) /= c;
-      fm.at(1, y, x) /= c;
-    }
+  for (i64 i = 0; i < plane; ++i) {
+    const float c = std::max(1.0f, cnt[i]);
+    re[i] /= c;
+    im[i] /= c;
+  }
+}
+
+FeatureMap CnnEncoder::preprocess(const ChunkImage& chunk) const {
+  const i64 hw = cfg_.input_hw;
+  FeatureMap fm(2, hw, hw);
+  preprocess(chunk, fm.v.data(), maps_.buffer(size_t(hw * hw)).data());
   return fm;
 }
 
-std::vector<float> CnnEncoder::forward(const FeatureMap& in,
+std::vector<float> CnnEncoder::forward(const ChunkImage& chunk,
                                        bool use_int8) const {
-  // Dequantize-on-use when the INT8 path is requested: numerically identical
-  // to an integer kernel with float accumulators.
-  const Conv2D* c1 = &conv1_;
-  const Conv2D* c2 = &conv2_;
-  const Dense* fc = &fc_;
-  Conv2D c1q = conv1_, c2q = conv2_;
-  Dense fcq = fc_;
-  if (use_int8 && quantized_) {
-    for (std::size_t i = 0; i < c1q.w.size(); ++i)
-      c1q.w[i] = float(q_w1_[i]) * s_w1_;
-    for (std::size_t i = 0; i < c2q.w.size(); ++i)
-      c2q.w[i] = float(q_w2_[i]) * s_w2_;
-    for (std::size_t i = 0; i < fcq.w.size(); ++i)
-      fcq.w[i] = float(q_wf_[i]) * s_wf_;
-    c1 = &c1q;
-    c2 = &c2q;
-    fc = &fcq;
-  }
-  FeatureMap a = c1->forward(in);
-  relu_forward(a.v);
-  FeatureMap p1 = avgpool2(a);
-  FeatureMap b = c2->forward(p1);
-  relu_forward(b.v);
-  FeatureMap p2 = avgpool2(b);
-  return fc->forward(p2.v);
+  // With use_int8 on a quantized encoder the layers read the weights frozen
+  // by quantize(); otherwise the live float layers run (conv packs their
+  // weights per call). Either way the same kernels, and every intermediate
+  // map lives in this thread's arena.
+  const i64 hw = cfg_.input_hw, h1 = hw / 2, h2 = hw / 4, h3 = hw / 8;
+  const i64 c1 = conv1_.out_ch(), c2 = conv2_.out_ch();
+  const i64 n_in = 2 * hw * hw, n_cnt = hw * hw, n_a = c1 * h1 * h1,
+            n_p1 = c1 * h2 * h2, n_b = c2 * h2 * h2, n_p2 = c2 * h3 * h3;
+  auto maps = maps_.buffer(size_t(n_in + n_cnt + n_a + n_p1 + n_b + n_p2));
+  float* in = maps.data();
+  float* cnt = in + n_in;
+  float* a = cnt + n_cnt;
+  float* p1 = a + n_a;
+  float* b = p1 + n_p1;
+  float* p2 = b + n_b;
+  std::vector<float> z(static_cast<size_t>(cfg_.embed_dim));
+
+  preprocess(chunk, in, cnt);
+  const bool frozen = use_int8 && quantized_;
+  if (frozen)
+    conv_forward(conv1_.shape(), q_conv1_, in, hw, hw, a);
+  else
+    conv1_.forward(in, hw, hw, a);
+  relu_forward({a, size_t(n_a)});
+  avgpool2(a, c1, h1, h1, p1);
+  if (frozen)
+    conv_forward(conv2_.shape(), q_conv2_, p1, h2, h2, b);
+  else
+    conv2_.forward(p1, h2, h2, b);
+  relu_forward({b, size_t(n_b)});
+  avgpool2(b, c2, h2, h2, p2);
+  dense_forward(frozen ? q_fc_.data() : fc_.w.data(), fc_.b.data(),
+                fc_.in_dim(), fc_.out_dim(), p2, z.data());
+  return z;
 }
 
 std::vector<float> CnnEncoder::encode(const ChunkImage& chunk) const {
-  return forward(preprocess(chunk), /*use_int8=*/false);
+  return forward(chunk, /*use_int8=*/false);
 }
 
 std::vector<float> CnnEncoder::encode_quantized(const ChunkImage& chunk) const {
-  return forward(preprocess(chunk), /*use_int8=*/true);
+  return forward(chunk, /*use_int8=*/true);
 }
 
 struct CnnEncoder::Trace {
@@ -135,7 +152,7 @@ void CnnEncoder::backward_from_embedding(const Trace& t,
   FeatureMap dp1 = conv2_.backward(t.p1, db);
   FeatureMap da = avgpool2_backward(t.a, dp1);
   relu_backward(t.a.v, da.v);
-  (void)conv1_.backward(t.in, da);
+  conv1_.backward_params(t.in, da);
 }
 
 double CnnEncoder::train_pair(const ChunkImage& a, const ChunkImage& b) {
@@ -192,23 +209,31 @@ double CnnEncoder::train(const std::vector<std::vector<cfloat>>& samples,
 }
 
 namespace {
-void quantize_tensor(const std::vector<float>& w, std::vector<std::int8_t>& q,
-                     float& scale) {
+/// Per-tensor symmetric INT8 round trip: float(q)·scale for each weight,
+/// q = round(w/scale) clamped to ±127, scale = max|w|/127.
+std::vector<float> int8_round_trip(const std::vector<float>& w) {
   float mx = 1e-12f;
   for (float x : w) mx = std::max(mx, std::abs(x));
-  scale = mx / 127.0f;
-  q.resize(w.size());
+  const float scale = mx / 127.0f;
+  std::vector<float> dq(w.size());
   for (std::size_t i = 0; i < w.size(); ++i) {
     const float r = std::round(w[i] / scale);
-    q[i] = std::int8_t(std::clamp(r, -127.0f, 127.0f));
+    dq[i] = float(std::int8_t(std::clamp(r, -127.0f, 127.0f))) * scale;
   }
+  return dq;
+}
+
+std::vector<double> frozen_pack(const Conv2D& conv) {
+  std::vector<double> packed(size_t(conv.shape().packed_size()));
+  pack_conv(conv.shape(), int8_round_trip(conv.w), conv.b, packed);
+  return packed;
 }
 }  // namespace
 
 void CnnEncoder::quantize() {
-  quantize_tensor(conv1_.w, q_w1_, s_w1_);
-  quantize_tensor(conv2_.w, q_w2_, s_w2_);
-  quantize_tensor(fc_.w, q_wf_, s_wf_);
+  q_conv1_ = frozen_pack(conv1_);
+  q_conv2_ = frozen_pack(conv2_);
+  q_fc_ = int8_round_trip(fc_.w);
   quantized_ = true;
 }
 

@@ -55,17 +55,27 @@ class CnnEncoder {
   double train(const std::vector<std::vector<cfloat>>& samples, i64 rows,
                i64 cols, int steps, u64 seed = 5);
 
-  /// Freeze float weights into per-tensor symmetric INT8.
+  /// Freeze float weights into per-tensor symmetric INT8. The dequantized
+  /// weights (float(q)·scale) are stored once here, already in the layout
+  /// the inference kernels read.
   void quantize();
   [[nodiscard]] bool quantized() const { return quantized_; }
+
+  /// The live (float, trainable) layers.
+  [[nodiscard]] const Conv2D& conv1() const { return conv1_; }
+  [[nodiscard]] const Conv2D& conv2() const { return conv2_; }
+  [[nodiscard]] const Dense& fc() const { return fc_; }
 
   [[nodiscard]] const EncoderConfig& config() const { return cfg_; }
   /// FLOPs of one forward pass (cost-model input; <1 % of FFT cost).
   [[nodiscard]] double encode_flops() const;
 
  private:
+  /// Pools `chunk` into the [2][input_hw][input_hw] front-end map `out`;
+  /// `cnt` is input_hw² floats of working space.
+  void preprocess(const ChunkImage& chunk, float* out, float* cnt) const;
   FeatureMap preprocess(const ChunkImage& chunk) const;
-  std::vector<float> forward(const FeatureMap& in, bool use_int8) const;
+  std::vector<float> forward(const ChunkImage& chunk, bool use_int8) const;
   // Full forward keeping intermediates for backprop.
   struct Trace;
   std::vector<float> forward_train(const FeatureMap& in, Trace& t) const;
@@ -78,8 +88,12 @@ class CnnEncoder {
   Adam opt_w1_, opt_b1_, opt_w2_, opt_b2_, opt_wf_, opt_bf_;
 
   bool quantized_ = false;
-  std::vector<std::int8_t> q_w1_, q_w2_, q_wf_;
-  float s_w1_ = 1.0f, s_w2_ = 1.0f, s_wf_ = 1.0f;
+  // Frozen INT8 weights, dequantized: conv packs from pack_conv, fc as
+  // [out][in] floats.
+  std::vector<double> q_conv1_, q_conv2_;
+  std::vector<float> q_fc_;
+  // Per-thread feature maps of forward(); pool workers encode concurrently.
+  PerThreadScratch<float> maps_;
 };
 
 /// L2 distance between two raw chunks (the contrastive ground-truth label).

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "admm/solver.hpp"
 #include "admm/tv.hpp"
 #include "common/rng.hpp"
 #include "lamino/phantom.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace mlr::admm {
 namespace {
@@ -302,6 +305,37 @@ TEST(Solver, IterationHookFires) {
       });
   (void)solver.solve(f.d);
   EXPECT_EQ(calls, 3);
+}
+
+// The warmup-then-train path names its training time (encoder.train span,
+// encoder.train_s histogram) without perturbing anything the solve
+// produces: trace on and off give the same bits and virtual time.
+TEST(Solver, EncoderTrainingObservedWithoutPerturbing) {
+  auto& train_s = obs::metrics().histogram("encoder.train_s",
+                                           obs::latency_edges_s());
+  auto& rec = obs::TraceRecorder::instance();
+  auto solve = [](bool traced) {
+    SolverFixture f;
+    auto ml = f.memoized();
+    Solver solver(ml, {.outer_iters = 3, .inner_iters = 2, .chunk_size = 4,
+                       .encoder_train_steps = 40});
+    if (traced) obs::TraceRecorder::instance().enable();
+    auto r = solver.solve(f.d);
+    obs::TraceRecorder::instance().disable();
+    EXPECT_TRUE(ml.key_encoder().quantized());
+    return r;
+  };
+  const u64 n0 = train_s.count();
+  const auto off = solve(false);
+  EXPECT_EQ(train_s.count(), n0 + 1);
+  rec.clear();
+  const auto on = solve(true);
+  EXPECT_EQ(train_s.count(), n0 + 2);
+  EXPECT_NE(rec.json().find("\"encoder.train\""), std::string::npos);
+  rec.clear();
+  ASSERT_EQ(off.u.shape(), on.u.shape());
+  EXPECT_EQ(std::memcmp(off.u.data(), on.u.data(), off.u.bytes()), 0);
+  EXPECT_EQ(off.total_vtime, on.total_vtime);
 }
 
 TEST(Solver, AccuracyMetricMatchesDefinition) {

@@ -14,6 +14,7 @@
 #include "common/hash.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "encoder/encoder.hpp"
 #include "kvstore/kvstore.hpp"
 #include "lamino/phantom.hpp"
 #include "memo/memo_cache.hpp"
@@ -602,6 +603,42 @@ TEST(Concurrency, TraceOnOffBitIdentityMatrix) {
       }
       EXPECT_EQ(ref.cache_fp, got.cache_fp);
       EXPECT_EQ(ref.db_entries, got.db_entries);
+    }
+  }
+}
+
+// Pool workers key chunks concurrently through one encoder: every forward
+// pass borrows its feature maps (and, on the float path, its packed
+// weights) from per-thread arenas, so parallel keys must equal a serial
+// loop's bit for bit — before quantize() (live float layers) and after it
+// (weights frozen once).
+TEST(Concurrency, SharedEncoderParallelKeysMatchSerial) {
+  encoder::CnnEncoder enc;
+  constexpr i64 kChunks = 48;
+  const std::pair<i64, i64> shapes[] = {{16, 16}, {24, 40}, {5, 7}, {64, 32}};
+  std::vector<std::vector<cfloat>> chunks;
+  for (i64 i = 0; i < kChunks; ++i) {
+    const auto [r, c] = shapes[size_t(i) % std::size(shapes)];
+    chunks.push_back(random_value(r * c, u64(900 + i)));
+  }
+  auto image = [&](i64 i) {
+    const auto [r, c] = shapes[size_t(i) % std::size(shapes)];
+    return encoder::ChunkImage{r, c, chunks[size_t(i)]};
+  };
+  ThreadPool pool(4);
+  for (const bool frozen : {false, true}) {
+    SCOPED_TRACE(frozen ? "quantized" : "float");
+    if (frozen) enc.quantize();
+    std::vector<std::vector<float>> serial;
+    for (i64 i = 0; i < kChunks; ++i)
+      serial.push_back(enc.encode_quantized(image(i)));
+    for (int round = 0; round < 3; ++round) {
+      std::vector<std::vector<float>> par(static_cast<size_t>(kChunks));
+      parallel_for(pool, 0, kChunks, [&](i64 i) {
+        par[size_t(i)] = enc.encode_quantized(image(i));
+      });
+      for (i64 i = 0; i < kChunks; ++i)
+        ASSERT_EQ(par[size_t(i)], serial[size_t(i)]) << "chunk " << i;
     }
   }
 }

@@ -275,8 +275,6 @@ int main(int argc, char** argv) {
     sc.slots = opts.slots > 0 ? opts.slots : slots;
     sc.gpus_per_job = gpus_per_job;
     sc.threads = args.threads();
-    sc.overlap_slices = args.overlap();
-    sc.pipeline_depth = args.pipeline();
     sc.iters_cap = iters_cap;
     sc.policy = policy;
     sc.shard_count = shard_count;
@@ -674,8 +672,6 @@ int main(int argc, char** argv) {
     sc.slots = slots;
     sc.gpus_per_job = gpus_per_job;
     sc.threads = args.threads();
-    sc.overlap_slices = args.overlap();
-    sc.pipeline_depth = args.pipeline();
     sc.iters_cap = iters_cap;
     sc.policy = SchedulerPolicy::Fifo;
     sc.shard_count = shards;
@@ -804,8 +800,6 @@ int main(int argc, char** argv) {
   json.set("slots", i64(slots));
   json.set("gpus_per_job", i64(gpus_per_job));
   json.set("threads", i64(args.threads()));
-  json.set("overlap_slices", args.overlap());
-  json.set("pipeline_depth", args.pipeline());
   json.set("shards", i64(shards));
   json.set("fabric_gbps", fabric_gbps);
   json.set("tau_dedup", tau_dedup);

@@ -4,8 +4,8 @@
 #   * bench_serve_traffic exits non-zero if job outputs are not
 #     bit-identical across scheduling policies (and, with MLR_BUILD_NET,
 #     across tier transports — the loopback/socket smokes below),
-#   * bench_stage_scaling exits non-zero if barrier/overlap/pipelined modes
-#     resolve different memo outcomes, and emits the BENCH_*.json
+#   * bench_stage_scaling exits non-zero if pool widths resolve different
+#     memo outcomes or virtual stage end times, and emits the BENCH_*.json
 #     perf-trajectory point,
 #   * a trace-enabled serve replay (--trace over the loopback transport)
 #     must produce a non-empty, parseable Chrome-trace JSON while staying
@@ -17,14 +17,14 @@
 # The serving layer alone (service/scheduler matrices, workload contracts,
 # tier wire protocol) can be run via its CTest label: `ctest -L serve`.
 # The TSan preset additionally re-runs the cross-stage determinism matrix
-# (now threads x overlap x depth x tail-lanes), the trace-on/off identity
-# matrix (recorder rings hammered from pool + drainer threads), the
+# (threads x gpus x cache kind), the trace-on/off identity matrix
+# (recorder rings hammered from pool threads), the
 # shared-encoder key test (pool workers borrowing per-thread encoder
 # arenas), the obs unit suite, the fused elementwise-kernel suite (tiled
 # reductions racing on the shared partial buffer is exactly where a
 # combine-order bug would hide), the serve shard matrix (shards x
-# policies x threads x pipeline_depth), the remote-tier loopback matrix (same workload rehosted
-# on the wire protocol), the transport fault-injection suite
+# policies x threads), the remote-tier loopback matrix (same workload
+# rehosted on the wire protocol), the transport fault-injection suite
 # (reply-reader threads + the in-flight request table are exactly where a
 # completion race would hide) and the reconnect/degradation suites
 # (LoopbackReconnect.* + ReconServiceFaults.* — recovery ladder vs the
@@ -33,14 +33,15 @@
 # restarted from a snapshot, gated on "surviving jobs bit-identical,
 # service exits 0". Socket smokes skip gracefully where sockets are
 # unavailable.
-# The ASan preset (AddressSanitizer + UBSan) builds and runs only the fast
-# suites — the encoder's pointer-offset conv kernels, the per-thread scratch
-# arenas, the fused elementwise tiles, the memo engine, the obs rings and the
-# solver — where an out-of-bounds read or an overflowing index would hide.
+# The ASan preset (AddressSanitizer + UBSan) builds and runs the encoder's
+# pointer-offset conv kernels, the per-thread scratch arenas, the fused
+# elementwise tiles, the memo engine, the obs rings, the solver, the
+# reconstructor, the wire decoder + transports and the serving layer —
+# where an out-of-bounds read or an overflowing index would hide.
 #   ./scripts/check.sh          release build + ctest + smokes
 #   ./scripts/check.sh tsan     ThreadSanitizer build + ctest + matrix +
 #                               smokes (slower)
-#   ./scripts/check.sh asan     ASan+UBSan build + the fast suites
+#   ./scripts/check.sh asan     ASan+UBSan build + the sanitized suites
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,10 +69,10 @@ if [[ "$preset" == "tsan" ]]; then
   ctest --preset tsan -j "$(nproc)"
   ./build-tsan/obs_test
   ./build-tsan/concurrency_test \
-    --gtest_filter='Concurrency.PipelinedCrossStageDeterminismMatrix:Concurrency.StageExecutorDeterministic*:Concurrency.TraceOnOffBitIdentityMatrix:Concurrency.SharedEncoderParallelKeysMatchSerial'
+    --gtest_filter='Concurrency.CrossStageDeterminismMatrix:Concurrency.StageExecutorDeterministic*:Concurrency.TraceOnOffBitIdentityMatrix:Concurrency.SharedEncoderParallelKeysMatchSerial'
   ./build-tsan/ew_test --gtest_filter='Ew.*'
   ./build-tsan/serve_test \
-    --gtest_filter='ReconService.OutputsIdenticalAcrossPipelineDepths:ReconService.SharedTierShardMatrix:ReconService.LoopbackTransportMatrix:ReconService.TraceOnOffBitIdentity:ReconService.PreemptionDeterminismMatrix:ReconService.PreemptedJobResumesOnDifferentSlot:ReconService.AdmissionDecisionInvarianceMatrix'
+    --gtest_filter='ReconService.SharedTierShardMatrix:ReconService.LoopbackTransportMatrix:ReconService.TraceOnOffBitIdentity:ReconService.PreemptionDeterminismMatrix:ReconService.PreemptedJobResumesOnDifferentSlot:ReconService.AdmissionDecisionInvarianceMatrix'
   ./build-tsan/workload_test
   if [[ -x ./build-tsan/net_test ]]; then
     ./build-tsan/net_test \
@@ -79,7 +80,7 @@ if [[ "$preset" == "tsan" ]]; then
     ./build-tsan/serve_test --gtest_filter='ReconServiceFaults.*'
   fi
   ./build-tsan/bench_stage_scaling --n 12 --reps 2 --threads 2 \
-    --tail-lanes 2 --json /tmp/BENCH_stage_scaling.tsan.json
+    --json /tmp/BENCH_stage_scaling.tsan.json
   ./build-tsan/bench_serve_traffic --jobs 8 --n small
   ./build-tsan/bench_serve_traffic --preempt --jobs 32 --n small
   ./build-tsan/bench_serve_traffic --jobs 8 --n small --transport loopback \

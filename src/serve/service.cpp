@@ -227,7 +227,6 @@ ReconService::RunOutcome ReconService::run_job(
   memo::MemoDbConfig dbc;
   dbc.tau = prof.tau;
   dbc.value_scale = ws;
-  dbc.overlap_slices = cfg_.overlap_slices;
 
   admm::AdmmConfig ac;
   ac.outer_iters =
@@ -271,8 +270,6 @@ ReconService::RunOutcome ReconService::run_job(
       eo.gpus = 1;
       eo.memo = mc;
       eo.db = dbc;
-      eo.pipeline_depth = cfg_.pipeline_depth;
-      eo.tail_lanes = cfg_.tail_lanes;
       eo.registry = registry_;
       eo.db_seed = seed.entries;
       eo.db_values = seed.values;
@@ -288,8 +285,6 @@ ReconService::RunOutcome ReconService::run_job(
       cs.db_values = seed.values;
       clu = std::make_unique<cluster::Cluster>(ops_, cs, mc, dbc);
       if (pool_ != nullptr) clu->executor().set_pool(pool_.get());
-      clu->executor().set_pipeline_depth(cfg_.pipeline_depth);
-      clu->executor().set_tail_lanes(cfg_.tail_lanes);
       exec = &clu->executor();
       db = cfg_.memoize ? &clu->db() : nullptr;
     }

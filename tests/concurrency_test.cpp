@@ -2,8 +2,8 @@
 // the memoization caches and the KvStore are hammered from many threads and
 // must neither lose counter updates nor corrupt entries; the StageExecutor
 // must produce bit-identical results, records, cache contents and virtual
-// times for any pool width AND any overlap_slices setting (the async sliced
-// MemoDb service); ann::Index::search_batch must match looped search.
+// times for any pool width; ann::Index::search_batch must match looped
+// search.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -158,78 +158,27 @@ TEST(Concurrency, PoolScopedParallelForCoversRange) {
   for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
 }
 
-// The engine contract: identical numerics AND identical virtual-clock
-// schedule for any pool width.
-TEST(Concurrency, StageExecutorDeterministicAcrossPoolWidths) {
-  lamino::Operators ops{lamino::Geometry::cube(8)};
-  const auto& g = ops.geometry();
-  auto u = lamino::to_complex(lamino::make_phantom(
-      g.object_shape(), lamino::PhantomKind::BrainTissue, 9));
-  auto chunks = lamino::make_chunks(g.n1, 2);
-
-  auto run_with_pool = [&](unsigned threads, Array3D<cfloat>& out1,
-                           Array3D<cfloat>& out2) {
-    sim::Device dev{0};
-    sim::Interconnect net;
-    sim::MemoryNode node;
-    MemoDb db{{.key_dim = 16, .tau = 0.92,
-               .ivf = {.nlist = 2, .train_size = 8}},
-              &net, &node};
-    MemoizedLamino ml(ops, {.enable = true, .tau = 0.92, .key_dim = 16,
-                            .encoder_hw = 16},
-                      &dev, &db);
-    ThreadPool pool(threads);
-    ml.executor().set_pool(&pool);
-    auto make_work = [&](Array3D<cfloat>& dst) {
-      std::vector<StageChunk> w;
-      for (const auto& spec : chunks)
-        w.push_back({spec, u.slices(spec.begin, spec.count),
-                     dst.slices(spec.begin, spec.count)});
-      return w;
-    };
-    auto w1 = make_work(out1);
-    auto rep1 = ml.run_stage(OpKind::Fu1D, w1, 0.0);  // all misses
-    auto w2 = make_work(out2);
-    auto rep2 = ml.run_stage(OpKind::Fu1D, w2, rep1.done);  // all hits
-    return std::pair{rep1.done, rep2.done};
-  };
-
-  Array3D<cfloat> s1(g.u1_shape()), s2(g.u1_shape());
-  Array3D<cfloat> p1(g.u1_shape()), p2(g.u1_shape());
-  const auto [s_done1, s_done2] = run_with_pool(1, s1, s2);
-  const auto [p_done1, p_done2] = run_with_pool(4, p1, p2);
-  // Bit-identical outputs…
-  for (i64 i = 0; i < s1.size(); ++i) {
-    ASSERT_EQ(s1.data()[i], p1.data()[i]);
-    ASSERT_EQ(s2.data()[i], p2.data()[i]);
+void expect_same_records(const std::vector<ChunkRecord>& a,
+                         const std::vector<ChunkRecord>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(int(a[i].kind), int(b[i].kind)) << i;
+    EXPECT_EQ(int(a[i].outcome), int(b[i].outcome)) << i;
+    EXPECT_EQ(a[i].location, b[i].location) << i;
+    EXPECT_EQ(a[i].encode_s, b[i].encode_s) << i;
+    EXPECT_EQ(a[i].db_s, b[i].db_s) << i;
+    EXPECT_EQ(a[i].compute_s, b[i].compute_s) << i;
+    EXPECT_EQ(a[i].copy_s, b[i].copy_s) << i;
   }
-  // …and bit-identical virtual times.
-  EXPECT_EQ(s_done1, p_done1);
-  EXPECT_EQ(s_done2, p_done2);
 }
 
-// The async-service contract: for every overlap_slices setting and pool
-// width, outputs, per-chunk records, cache FIFO contents and virtual times
-// are bit-identical to the barriered overlap_slices = 0 path.
-TEST(Concurrency, StageExecutorDeterministicAcrossOverlapSlices) {
-  // cube(10) with chunk size 2 yields 5 chunks → 5 DB requests: a count
-  // that does NOT divide evenly into 2, 4 or 8 slices, so the ragged-tail
-  // partition (ceil-sized slices leaving trailing cuts empty) is exercised.
-  lamino::Operators ops{lamino::Geometry::cube(10)};
-  const auto& g = ops.geometry();
-  auto u = lamino::to_complex(lamino::make_phantom(
-      g.object_shape(), lamino::PhantomKind::BrainTissue, 9));
-  // Churn volume: odd chunks of the second pass read from here, so that
-  // pass mixes DB hits (even chunks) with misses (odd chunks) — the
-  // workload the sliced pipeline actually reorders in wall-clock time.
-  Array3D<cfloat> churn(g.u1_shape());
-  {
-    Rng rng(77);
-    for (i64 i = 0; i < churn.size(); ++i)
-      churn.data()[i] = cfloat(float(rng.normal()), float(rng.normal()));
-  }
-  auto chunks = lamino::make_chunks(g.n1, 2);
-
+// The engine contract: identical numerics, per-chunk records, cache FIFO
+// contents, DB state AND virtual-clock schedule for any pool width. Two
+// inputs, each a miss pass followed by a second pass over the same chunks:
+// on cube(8) the second pass is all hits; on cube(10) its odd chunks read a
+// fresh churn volume, so it mixes DB hits with misses whose FFTs share the
+// parallel pass with the hits' value copies.
+TEST(Concurrency, StageExecutorDeterministicAcrossPoolWidths) {
   struct Run {
     Array3D<cfloat> out1, out2;
     std::vector<ChunkRecord> rec1, rec2;
@@ -237,93 +186,91 @@ TEST(Concurrency, StageExecutorDeterministicAcrossOverlapSlices) {
     u64 cache_fp = 0;
     u64 db_entries = 0;
   };
-  auto run_cfg = [&](unsigned threads, i64 overlap) {
-    Run run{Array3D<cfloat>(g.u1_shape()), Array3D<cfloat>(g.u1_shape()),
-            {}, {}, 0, 0, 0, 0};
-    sim::Device dev{0};
-    sim::Interconnect net;
-    sim::MemoryNode node;
-    MemoDb db{{.key_dim = 16, .tau = 0.92, .overlap_slices = overlap,
-               .ivf = {.nlist = 2, .train_size = 8}},
-              &net, &node};
-    MemoizedLamino ml(ops, {.enable = true, .tau = 0.92, .key_dim = 16,
-                            .encoder_hw = 16},
-                      &dev, &db);
-    ThreadPool pool(threads);
-    ml.executor().set_pool(&pool);
-    auto make_work = [&](Array3D<cfloat>& dst, bool mixed) {
-      std::vector<StageChunk> w;
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        const auto& spec = chunks[c];
-        const auto& src = (mixed && c % 2 == 1) ? churn : u;
-        w.push_back({spec, src.slices(spec.begin, spec.count),
-                     dst.slices(spec.begin, spec.count)});
-      }
-      return w;
+  for (const bool mixed : {false, true}) {
+    SCOPED_TRACE(mixed ? "mixed hit/miss pass" : "all-hit pass");
+    lamino::Operators ops{lamino::Geometry::cube(mixed ? 10 : 8)};
+    const auto& g = ops.geometry();
+    auto u = lamino::to_complex(lamino::make_phantom(
+        g.object_shape(), lamino::PhantomKind::BrainTissue, 9));
+    Array3D<cfloat> churn(g.u1_shape());
+    {
+      Rng rng(77);
+      for (i64 i = 0; i < churn.size(); ++i)
+        churn.data()[i] = cfloat(float(rng.normal()), float(rng.normal()));
+    }
+    auto chunks = lamino::make_chunks(g.n1, 2);
+
+    auto run_with_pool = [&](unsigned threads) {
+      Run run{Array3D<cfloat>(g.u1_shape()), Array3D<cfloat>(g.u1_shape()),
+              {}, {}, 0, 0, 0, 0};
+      sim::Device dev{0};
+      sim::Interconnect net;
+      sim::MemoryNode node;
+      MemoDb db{{.key_dim = 16, .tau = 0.92,
+                 .ivf = {.nlist = 2, .train_size = 8}},
+                &net, &node};
+      MemoizedLamino ml(ops, {.enable = true, .tau = 0.92, .key_dim = 16,
+                              .encoder_hw = 16},
+                        &dev, &db);
+      ThreadPool pool(threads);
+      ml.executor().set_pool(&pool);
+      auto make_work = [&](Array3D<cfloat>& dst, bool churned) {
+        std::vector<StageChunk> w;
+        for (std::size_t c = 0; c < chunks.size(); ++c) {
+          const auto& spec = chunks[c];
+          const auto& src = (churned && c % 2 == 1) ? churn : u;
+          w.push_back({spec, src.slices(spec.begin, spec.count),
+                       dst.slices(spec.begin, spec.count)});
+        }
+        return w;
+      };
+      auto w1 = make_work(run.out1, false);
+      auto rep1 = ml.run_stage(OpKind::Fu1D, w1, 0.0);  // all misses
+      auto w2 = make_work(run.out2, mixed);
+      auto rep2 = ml.run_stage(OpKind::Fu1D, w2, rep1.done);
+      run.rec1 = rep1.records;
+      run.rec2 = rep2.records;
+      run.done1 = rep1.done;
+      run.done2 = rep2.done;
+      run.cache_fp = ml.cache() != nullptr ? ml.cache()->fingerprint() : 0;
+      run.db_entries = db.total_entries();
+      return run;
     };
-    auto w1 = make_work(run.out1, false);
-    auto rep1 = ml.run_stage(OpKind::Fu1D, w1, 0.0);  // all misses
-    auto w2 = make_work(run.out2, true);
-    auto rep2 = ml.run_stage(OpKind::Fu1D, w2, rep1.done);  // hit/miss mix
-    run.rec1 = rep1.records;
-    run.rec2 = rep2.records;
-    run.done1 = rep1.done;
-    run.done2 = rep2.done;
-    run.cache_fp = ml.cache() != nullptr ? ml.cache()->fingerprint() : 0;
-    run.db_entries = db.total_entries();
-    return run;
-  };
 
-  const Run ref = run_cfg(1, 0);  // serial, barriered — the legacy path
-  // The mixed pass must really mix outcomes or the overlap test is vacuous.
-  u64 hits = 0, misses = 0;
-  for (const auto& r : ref.rec2) {
-    hits += r.outcome == MemoOutcome::DbHit || r.outcome == MemoOutcome::CacheHit;
-    misses += r.outcome == MemoOutcome::Miss;
-  }
-  EXPECT_GT(hits, 0u);
-  EXPECT_GT(misses, 0u);
-
-  auto expect_same_records = [](const std::vector<ChunkRecord>& a,
-                                const std::vector<ChunkRecord>& b) {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(int(a[i].kind), int(b[i].kind)) << i;
-      EXPECT_EQ(int(a[i].outcome), int(b[i].outcome)) << i;
-      EXPECT_EQ(a[i].location, b[i].location) << i;
-      EXPECT_EQ(a[i].encode_s, b[i].encode_s) << i;
-      EXPECT_EQ(a[i].db_s, b[i].db_s) << i;
-      EXPECT_EQ(a[i].compute_s, b[i].compute_s) << i;
-      EXPECT_EQ(a[i].copy_s, b[i].copy_s) << i;
-    }
-  };
-  for (const unsigned threads : {1u, 4u}) {
-    for (const i64 overlap : {i64(0), i64(2), i64(4), i64(8)}) {
-      const Run got = run_cfg(threads, overlap);
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " overlap=" + std::to_string(overlap));
-      for (i64 i = 0; i < ref.out1.size(); ++i) {
-        ASSERT_EQ(ref.out1.data()[i], got.out1.data()[i]);
-        ASSERT_EQ(ref.out2.data()[i], got.out2.data()[i]);
+    const Run ref = run_with_pool(1);
+    if (mixed) {
+      // The mixed pass must really mix outcomes or this input is vacuous.
+      u64 hits = 0, misses = 0;
+      for (const auto& r : ref.rec2) {
+        hits += r.outcome == MemoOutcome::DbHit ||
+                r.outcome == MemoOutcome::CacheHit;
+        misses += r.outcome == MemoOutcome::Miss;
       }
-      expect_same_records(ref.rec1, got.rec1);
-      expect_same_records(ref.rec2, got.rec2);
-      EXPECT_EQ(ref.done1, got.done1);
-      EXPECT_EQ(ref.done2, got.done2);
-      EXPECT_EQ(ref.cache_fp, got.cache_fp);
-      EXPECT_EQ(ref.db_entries, got.db_entries);
+      EXPECT_GT(hits, 0u);
+      EXPECT_GT(misses, 0u);
     }
+    const Run got = run_with_pool(4);
+    for (i64 i = 0; i < ref.out1.size(); ++i) {
+      ASSERT_EQ(ref.out1.data()[i], got.out1.data()[i]);
+      ASSERT_EQ(ref.out2.data()[i], got.out2.data()[i]);
+    }
+    expect_same_records(ref.rec1, got.rec1);
+    expect_same_records(ref.rec2, got.rec2);
+    EXPECT_EQ(ref.done1, got.done1);
+    EXPECT_EQ(ref.done2, got.done2);
+    EXPECT_EQ(ref.cache_fp, got.cache_fp);
+    EXPECT_EQ(ref.db_entries, got.db_entries);
   }
 }
 
-// The cross-stage pipeline contract: outputs, per-chunk records, cache FIFO
-// contents, DB entry counts and virtual times are bit-identical to the
-// serial / barriered / per-stage-barrier reference for EVERY pipeline_depth
-// × overlap_slices × threads × gpus combination. The stage sequence
-// alternates operator kinds (Fu1D / Fu1DAdj) like the real ADMM loop —
-// exactly the adjacency whose tail/probe overlap the pipeline exploits —
-// and the mixed passes interleave DB hits with fresh-churn misses.
-TEST(Concurrency, PipelinedCrossStageDeterminismMatrix) {
+// The cross-stage contract: over a stage sequence that alternates operator
+// kinds (Fu1D / Fu1DAdj) like the real ADMM loop, with mixed passes that
+// interleave DB hits with fresh-churn misses, outputs, per-chunk records,
+// cache FIFO contents, DB entry counts and virtual times are bit-identical
+// to the serial reference for every threads × gpus combination — with a
+// kind-isolated Private cache and with a GlobalCache whose FIFO eviction
+// crosses kinds.
+TEST(Concurrency, CrossStageDeterminismMatrix) {
   lamino::Operators ops{lamino::Geometry::cube(10)};
   const auto& g = ops.geometry();
   auto u = lamino::to_complex(lamino::make_phantom(
@@ -340,7 +287,7 @@ TEST(Concurrency, PipelinedCrossStageDeterminismMatrix) {
     fill(churn_obj);
     fill(churn_u1);
   }
-  auto chunks = lamino::make_chunks(g.n1, 2);  // 5 chunks: ragged slices
+  auto chunks = lamino::make_chunks(g.n1, 2);  // 5 chunks
 
   struct Run {
     std::vector<Array3D<cfloat>> outs;
@@ -350,12 +297,11 @@ TEST(Concurrency, PipelinedCrossStageDeterminismMatrix) {
     u64 db_entries = 0;
     MemoCounters counters;
   };
-  auto run_cfg = [&](unsigned threads, i64 overlap, i64 depth, int gpus,
-                     CacheKind cache_kind, i64 lanes) {
+  auto run_cfg = [&](unsigned threads, int gpus, CacheKind cache_kind) {
     Run run;
     sim::Interconnect net;
     sim::MemoryNode node;
-    MemoDb db{{.key_dim = 16, .tau = 0.92, .overlap_slices = overlap,
+    MemoDb db{{.key_dim = 16, .tau = 0.92,
                .ivf = {.nlist = 2, .train_size = 8}},
               &net, &node};
     // Wrappers share ONE registry (the multi-GPU configuration) so keys —
@@ -377,8 +323,6 @@ TEST(Concurrency, PipelinedCrossStageDeterminismMatrix) {
     StageExecutor exec(ptrs);
     ThreadPool pool(threads);
     exec.set_pool(&pool);
-    exec.set_pipeline_depth(depth);
-    exec.set_tail_lanes(lanes);
     auto make_work = [&](OpKind kind, Array3D<cfloat>& dst, bool mixed) {
       const bool adj = kind == OpKind::Fu1DAdj;
       const Array3D<cfloat>& src = adj ? base_u1 : u;
@@ -411,7 +355,6 @@ TEST(Concurrency, PipelinedCrossStageDeterminismMatrix) {
       run.recs.push_back(std::move(rep.records));
       run.dones.push_back(t);
     }
-    exec.settle();  // close the pipelined round before reading shared state
     u64 fp = kFnvOffsetBasis;
     for (const auto& ml : mls)
       if (ml->cache() != nullptr) fp ^= ml->cache()->fingerprint();
@@ -443,60 +386,33 @@ TEST(Concurrency, PipelinedCrossStageDeterminismMatrix) {
     EXPECT_EQ(a.counters.cache_hit, b.counters.cache_hit);
   };
 
-  for (const int gpus : {1, 2}) {
-    const Run ref = run_cfg(1, 0, 0, gpus, CacheKind::Private, 1);
-    // The mixed passes must really mix outcomes or the matrix is vacuous.
-    u64 hits = 0, misses = 0;
-    for (const auto& recs : ref.recs)
-      for (const auto& r : recs) {
-        hits += r.outcome == MemoOutcome::DbHit ||
-                r.outcome == MemoOutcome::CacheHit;
-        misses += r.outcome == MemoOutcome::Miss;
-      }
-    EXPECT_GT(hits, 0u);
-    EXPECT_GT(misses, 0u);
-    for (const unsigned threads : {1u, 4u}) {
-      for (const i64 overlap : {i64(0), i64(4)}) {
-        for (const i64 depth : {i64(0), i64(2), i64(4)}) {
-          // Tail lanes only matter when the pipeline defers tails; depth 0
-          // drains inline, so one lane value suffices there.
-          for (const i64 lanes : depth == 0 ? std::vector<i64>{1}
-                                            : std::vector<i64>{1, 2, 4}) {
-            SCOPED_TRACE("gpus=" + std::to_string(gpus) +
-                         " threads=" + std::to_string(threads) +
-                         " overlap=" + std::to_string(overlap) +
-                         " depth=" + std::to_string(depth) +
-                         " lanes=" + std::to_string(lanes));
-            expect_same(ref, run_cfg(threads, overlap, depth, gpus,
-                                     CacheKind::Private, lanes));
-          }
+  for (const CacheKind cache_kind : {CacheKind::Private, CacheKind::Global}) {
+    for (const int gpus : {1, 2}) {
+      const Run ref = run_cfg(1, gpus, cache_kind);
+      // The mixed passes must really mix outcomes or the matrix is vacuous.
+      u64 hits = 0, misses = 0;
+      for (const auto& recs : ref.recs)
+        for (const auto& r : recs) {
+          hits += r.outcome == MemoOutcome::DbHit ||
+                  r.outcome == MemoOutcome::CacheHit;
+          misses += r.outcome == MemoOutcome::Miss;
         }
-      }
-    }
-  }
-
-  // Kind-coupled cache (GlobalCache FIFO eviction crosses kinds): the
-  // engine must fall back to a full settle at stage entry AND pin every
-  // tail to lane 0 (cross-kind FIFO order) — bit-identical for every depth
-  // and every configured lane count.
-  {
-    const Run ref = run_cfg(1, 0, 0, 1, CacheKind::Global, 1);
-    for (const i64 depth : {i64(0), i64(3)}) {
-      for (const i64 lanes : {i64(1), i64(4)}) {
-        SCOPED_TRACE("global-cache depth=" + std::to_string(depth) +
-                     " lanes=" + std::to_string(lanes));
-        expect_same(ref, run_cfg(4, 4, depth, 1, CacheKind::Global, lanes));
-      }
+      EXPECT_GT(hits, 0u);
+      EXPECT_GT(misses, 0u);
+      SCOPED_TRACE(std::string(cache_kind == CacheKind::Global ? "global"
+                                                               : "private") +
+                   " cache, gpus=" + std::to_string(gpus));
+      expect_same(ref, run_cfg(4, gpus, cache_kind));
     }
   }
 }
 
 // Tracing joins the bit-identity matrix: enabling the obs trace recorder
-// (rings filling from every pool/drainer thread) must not perturb outputs,
+// (rings filling from every pool thread) must not perturb outputs,
 // per-chunk records, cache fingerprints, DB entry counts or virtual times
-// for any threads × lanes combination. Runs with recording ON are compared
-// against the untraced serial reference — under TSan this also hammers the
-// recorder's ring registration/push/drain paths from the worker threads.
+// at any pool width. Runs with recording ON are compared against the
+// untraced serial reference — under TSan this also hammers the recorder's
+// ring registration/push/drain paths from the worker threads.
 TEST(Concurrency, TraceOnOffBitIdentityMatrix) {
   lamino::Operators ops{lamino::Geometry::cube(10)};
   const auto& g = ops.geometry();
@@ -523,14 +439,14 @@ TEST(Concurrency, TraceOnOffBitIdentityMatrix) {
     u64 cache_fp = 0;
     u64 db_entries = 0;
   };
-  auto run_cfg = [&](unsigned threads, i64 lanes, bool traced) {
+  auto run_cfg = [&](unsigned threads, bool traced) {
     auto& rec = obs::TraceRecorder::instance();
     if (traced) rec.enable();
     Run run;
     sim::Device dev{0};
     sim::Interconnect net;
     sim::MemoryNode node;
-    MemoDb db{{.key_dim = 16, .tau = 0.92, .overlap_slices = 4,
+    MemoDb db{{.key_dim = 16, .tau = 0.92,
                .ivf = {.nlist = 2, .train_size = 8}},
               &net, &node};
     MemoizedLamino ml(ops, {.enable = true, .tau = 0.92, .key_dim = 16,
@@ -538,8 +454,6 @@ TEST(Concurrency, TraceOnOffBitIdentityMatrix) {
                       &dev, &db);
     ThreadPool pool(threads);
     ml.executor().set_pool(&pool);
-    ml.executor().set_pipeline_depth(2);
-    ml.executor().set_tail_lanes(lanes);
     auto make_work = [&](OpKind kind, Array3D<cfloat>& dst, bool mixed) {
       const bool adj = kind == OpKind::Fu1DAdj;
       const Array3D<cfloat>& src = adj ? base_u1 : u;
@@ -570,7 +484,6 @@ TEST(Concurrency, TraceOnOffBitIdentityMatrix) {
       run.recs.push_back(std::move(rep.records));
       run.dones.push_back(t);
     }
-    ml.executor().settle();
     run.cache_fp = ml.cache() != nullptr ? ml.cache()->fingerprint() : 0;
     run.db_entries = db.total_entries();
     if (traced) {
@@ -580,30 +493,27 @@ TEST(Concurrency, TraceOnOffBitIdentityMatrix) {
     return run;
   };
 
-  const Run ref = run_cfg(1, 1, /*traced=*/false);
+  const Run ref = run_cfg(1, /*traced=*/false);
   for (const unsigned threads : {1u, 4u}) {
-    for (const i64 lanes : {i64(1), i64(4)}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " lanes=" + std::to_string(lanes));
-      const Run got = run_cfg(threads, lanes, /*traced=*/true);
-      ASSERT_EQ(ref.outs.size(), got.outs.size());
-      for (std::size_t p = 0; p < ref.outs.size(); ++p) {
-        for (i64 i = 0; i < ref.outs[p].size(); ++i)
-          ASSERT_EQ(ref.outs[p].data()[i], got.outs[p].data()[i])
-              << "pass " << p;
-        ASSERT_EQ(ref.recs[p].size(), got.recs[p].size());
-        for (std::size_t i = 0; i < ref.recs[p].size(); ++i) {
-          EXPECT_EQ(int(ref.recs[p][i].outcome), int(got.recs[p][i].outcome));
-          EXPECT_EQ(ref.recs[p][i].encode_s, got.recs[p][i].encode_s);
-          EXPECT_EQ(ref.recs[p][i].db_s, got.recs[p][i].db_s);
-          EXPECT_EQ(ref.recs[p][i].compute_s, got.recs[p][i].compute_s);
-          EXPECT_EQ(ref.recs[p][i].copy_s, got.recs[p][i].copy_s);
-        }
-        EXPECT_EQ(ref.dones[p], got.dones[p]);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const Run got = run_cfg(threads, /*traced=*/true);
+    ASSERT_EQ(ref.outs.size(), got.outs.size());
+    for (std::size_t p = 0; p < ref.outs.size(); ++p) {
+      for (i64 i = 0; i < ref.outs[p].size(); ++i)
+        ASSERT_EQ(ref.outs[p].data()[i], got.outs[p].data()[i])
+            << "pass " << p;
+      ASSERT_EQ(ref.recs[p].size(), got.recs[p].size());
+      for (std::size_t i = 0; i < ref.recs[p].size(); ++i) {
+        EXPECT_EQ(int(ref.recs[p][i].outcome), int(got.recs[p][i].outcome));
+        EXPECT_EQ(ref.recs[p][i].encode_s, got.recs[p][i].encode_s);
+        EXPECT_EQ(ref.recs[p][i].db_s, got.recs[p][i].db_s);
+        EXPECT_EQ(ref.recs[p][i].compute_s, got.recs[p][i].compute_s);
+        EXPECT_EQ(ref.recs[p][i].copy_s, got.recs[p][i].copy_s);
       }
-      EXPECT_EQ(ref.cache_fp, got.cache_fp);
-      EXPECT_EQ(ref.db_entries, got.db_entries);
+      EXPECT_EQ(ref.dones[p], got.dones[p]);
     }
+    EXPECT_EQ(ref.cache_fp, got.cache_fp);
+    EXPECT_EQ(ref.db_entries, got.db_entries);
   }
 }
 
